@@ -86,13 +86,17 @@ bench-json:
 	$(GO) run ./cmd/dcert-bench -exp serving -json BENCH_serving.json
 	$(GO) run ./cmd/dcert-bench -exp certify -json BENCH_certify.json
 
-# Fuzz smoke for the query wire codecs (the batch multiproof decoder and the
-# canonical request round trip). Short budgets: CI regression surface, not a
-# campaign — run with a longer -fuzztime locally when touching the codecs.
+# Fuzz smoke for the wire codecs (the batch multiproof decoder, the canonical
+# request round trip, the segment and certificate decoders) and for the
+# pipeline committer's trust boundary (adversarial update proofs handed to
+# the certification Ecall). Short budgets: CI regression surface, not a
+# campaign — run with a longer -fuzztime locally when touching them.
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBatchStateResult$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRequest$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalSegmentCert$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalCertificate$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzPipelineProof$$' -fuzztime=10s ./internal/core/
 
 clean:
 	$(GO) clean ./...

@@ -37,7 +37,8 @@ import (
 //     must collapse onto one proof computation;
 //   - batch — one K=16 batched multiproof request against 16 sequential
 //     single-key round trips, both on the uncached path (the merged witness
-//     shares upper trie nodes, so the batch must cost well under half).
+//     shares upper trie nodes, so its body must be well under half the K
+//     single-key bodies; the wall-clock ratio is reported alongside).
 
 // ServingSide is one serving configuration's measurement.
 type ServingSide struct {
@@ -88,12 +89,19 @@ type ServingResult struct {
 	BurstCollapsed    uint64 `json:"burst_collapsed"`
 
 	// BatchK-key batched multiproof vs BatchK sequential single-key round
-	// trips, uncached path, averaged over reps (gate: ratio < 0.5).
+	// trips, uncached path, averaged over reps.
 	BatchK       int     `json:"batch_k"`
 	BatchMS      float64 `json:"batch_ms"`
 	SequentialMS float64 `json:"sequential_ms"`
-	// BatchRatio is BatchMS / SequentialMS.
+	// BatchRatio is BatchMS / SequentialMS (wall clock; reported, not
+	// gated).
 	BatchRatio float64 `json:"batch_ratio"`
+	// BatchBodyBytes and SequentialBodyBytes sum the response bodies over
+	// all reps: the batch multiproofs against the single-key proofs they
+	// replace. BatchBytesRatio is their quotient (gate: < 0.5).
+	BatchBodyBytes      int     `json:"batch_body_bytes"`
+	SequentialBodyBytes int     `json:"sequential_body_bytes"`
+	BatchBytesRatio     float64 `json:"batch_bytes_ratio"`
 }
 
 // servingParams sizes the experiment.
@@ -367,6 +375,7 @@ func RunServing(scale Scale) (*ServingResult, error) {
 			return nil, fmt.Errorf("bench: batch: %w", err)
 		}
 		batchSec += time.Since(t0).Seconds()
+		res.BatchBodyBytes += len(bresp.Body)
 		res.Verified++
 
 		t0 = time.Now()
@@ -382,6 +391,7 @@ func RunServing(scale Scale) (*ServingResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: sequential: %w", err)
 			}
+			res.SequentialBodyBytes += len(sresp.Body)
 			res.Verified++
 		}
 		seqSec += time.Since(t0).Seconds()
@@ -389,6 +399,7 @@ func RunServing(scale Scale) (*ServingResult, error) {
 	res.BatchMS = batchSec / float64(sp.reps) * 1000
 	res.SequentialMS = seqSec / float64(sp.reps) * 1000
 	res.BatchRatio = batchSec / seqSec
+	res.BatchBytesRatio = float64(res.BatchBodyBytes) / float64(res.SequentialBodyBytes)
 	return res, nil
 }
 
@@ -405,9 +416,10 @@ func (r *ServingResult) WriteJSON(path string) error {
 func (r *ServingResult) Table() *Table {
 	t := &Table{
 		Title: "Serving — sharded SP fleet vs single SP",
-		Note: fmt.Sprintf("%d clients over %d hot keys, every response verified (%d total); modeled rps assumes one core per replica; burst: %d waiters → %d computation(s), %d collapsed; batch K=%d: %.2f ms vs %.2f ms sequential (%.2fx)",
+		Note: fmt.Sprintf("%d clients over %d hot keys, every response verified (%d total); modeled rps assumes one core per replica; burst: %d waiters → %d computation(s), %d collapsed; batch K=%d: %.2f ms vs %.2f ms sequential (%.2fx), %d vs %d body bytes (%.3fx)",
 			r.Clients, r.HotKeys, r.Verified, r.BurstWaiters, r.BurstComputations, r.BurstCollapsed,
-			r.BatchK, r.BatchMS, r.SequentialMS, r.BatchRatio),
+			r.BatchK, r.BatchMS, r.SequentialMS, r.BatchRatio,
+			r.BatchBodyBytes, r.SequentialBodyBytes, r.BatchBytesRatio),
 		Columns: []string{"side", "replicas", "wall rps", "modeled rps", "mean µs", "p50 µs", "p99 µs", "hit rate"},
 	}
 	row := func(name string, n int, s ServingSide) []string {

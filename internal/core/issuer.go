@@ -11,6 +11,7 @@ import (
 	"dcert/internal/chash"
 	"dcert/internal/enclave"
 	"dcert/internal/node"
+	"dcert/internal/obs"
 	"dcert/internal/statedb"
 )
 
@@ -167,16 +168,18 @@ func (ci *Issuer) LatestCert() *Certificate {
 	return ci.lastCert
 }
 
-// certifiedTip atomically snapshots the ⟨tip block, tip certificate⟩ pair.
-// Reading the two separately (the pre-pipeline code did) races against a
-// concurrent adopt: the tip can advance between the reads, pairing block i
-// with cert i-1 — which corrupts checkpoints and makes the recursive Ecall
-// verify the wrong predecessor. All readers that need a consistent pair go
-// through here; adopt publishes both under the same lock.
-func (ci *Issuer) certifiedTip() (*chain.Block, *Certificate) {
+// certifiedTip atomically snapshots the certified tip: the tip block, its
+// certificate, and the headers that certificate's digest covers (nil before
+// the first certificate). Reading them separately races against a
+// concurrent adoptSegment: the tip can advance between the reads, pairing
+// block i with cert i-1 — which corrupts checkpoints and makes the recursive
+// Ecall verify the wrong predecessor. All readers that need a consistent
+// triple go through here; adoptSegment publishes all three under the same
+// lock.
+func (ci *Issuer) certifiedTip() (*chain.Block, *Certificate, []*chain.Header) {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
-	return ci.node.Tip(), ci.lastCert
+	return ci.node.Tip(), ci.lastCert, ci.lastSegHeaders
 }
 
 // newCert assembles a certificate from the enclave's outputs (Alg. 1
@@ -210,105 +213,54 @@ func (ci *Issuer) prepare(blk *chain.Block, bd *CostBreakdown) (*statedb.UpdateP
 }
 
 // ecallInputSize estimates the bytes marshalled through the enclave
-// boundary for a block-certification Ecall.
-func ecallInputSize(prev, blk *chain.Block, prevCert *Certificate, proof *statedb.UpdateProof) int {
-	size := len(prev.Header.Marshal()) + len(blk.Marshal()) + proof.EncodedSize()
+// boundary for a certification Ecall: the previous certificate and the
+// headers it covers (which end at prev; prev's header alone when there are
+// none), then every block and its update proof.
+func ecallInputSize(prev *chain.Block, prevHeaders []*chain.Header, prevCert *Certificate, blks []*chain.Block, proofs []*statedb.UpdateProof) int {
+	size := 0
+	if len(prevHeaders) == 0 {
+		size += prev.Header.EncodedSize()
+	}
+	for _, h := range prevHeaders {
+		size += h.EncodedSize()
+	}
+	for i := range blks {
+		size += len(blks[i].Marshal()) + proofs[i].EncodedSize()
+	}
 	if prevCert != nil {
 		size += prevCert.EncodedSize()
 	}
 	return size
 }
 
-// ProcessBlock runs Alg. 1 (gen_cert) for a block extending the CI's tip:
-// untrusted pre-processing, one Ecall for signature generation, certificate
-// assembly — then advances the CI's own full-node replica. The returned
-// breakdown feeds Figs. 8-9.
-func (ci *Issuer) ProcessBlock(blk *chain.Block) (*Certificate, CostBreakdown, error) {
-	var bd CostBreakdown
-	certifyStart := time.Now()
-	prev, prevCert := ci.certifiedTip()
-
-	proof, res, err := ci.prepare(blk, &bd)
-	if err != nil {
-		return nil, bd, err
-	}
-
-	// Alg. 1 line 4: enter the enclave.
-	sig, err := ci.ecallSigGen(prev, prevCert, blk, proof, &bd)
-	if err != nil {
-		return nil, bd, err
-	}
-
-	// Alg. 1 lines 5-7: assemble cert_i, then advance the CI's replica (it
-	// is a full node; the enclave just established the block's validity).
-	cert := ci.newCert(BlockDigest(&blk.Header), sig)
-	if _, err := ci.node.State().Commit(res.WriteSet); err != nil {
-		return nil, bd, fmt.Errorf("core: advance state: %w", err)
-	}
-	if err := ci.adopt(blk, cert); err != nil {
-		return nil, bd, err
-	}
-	ci.met.certifySec.Observe(time.Since(certifyStart).Seconds())
-	return cert, bd, nil
-}
-
-// ecallSigGen runs the single block-certification Ecall, accounting its cost.
-//
-// When the certified tip is covered by a multi-block segment certificate (a
-// restart resumed from a segment checkpoint, or a per-block run follows a
-// segmented one), the recursion base must be verified over the segment digest,
-// not BlockDigest(prev) — so the call routes through the segment-aware trusted
-// entry with a one-block segment. SegmentDigest of one header IS BlockDigest,
-// so the signature — and the certificate built from it — is byte-identical to
-// the plain path.
-func (ci *Issuer) ecallSigGen(prev *chain.Block, prevCert *Certificate, blk *chain.Block, proof *statedb.UpdateProof, bd *CostBreakdown) ([]byte, error) {
-	prevHeaders := ci.lastSegmentHeaders()
-	segBase := len(prevHeaders) > 1 && prevHeaders[len(prevHeaders)-1].Hash() == prev.Hash()
-	size := ecallInputSize(prev, blk, prevCert, proof)
-	if segBase {
-		for _, h := range prevHeaders {
-			size += h.EncodedSize()
-		}
-	}
+// ecall runs one trusted entry that yields a signature and accounts it: the
+// inside time (real execution and simulated overhead) lands in bd, count
+// counts the entry and inside observes its in-enclave time. Every
+// certification Ecall goes through here.
+func (ci *Issuer) ecall(count *obs.Counter, inside *obs.Histogram, inputBytes int, bd *CostBreakdown, trusted func(ctx *enclave.Context) ([]byte, error)) ([]byte, error) {
 	var sig []byte
 	before := ci.encl.Stats()
-	err := ci.encl.Ecall(size, func(ctx *enclave.Context) error {
+	err := ci.encl.Ecall(inputBytes, func(ctx *enclave.Context) error {
 		var err error
-		if segBase {
-			sig, err = ci.prog.EcallSegmentSigGen(ctx, prev, prevHeaders, prevCert, []*chain.Block{blk}, []*statedb.UpdateProof{proof})
-		} else {
-			sig, err = ci.prog.EcallSigGen(ctx, prev, prevCert, blk, proof)
-		}
+		sig, err = trusted(ctx)
 		return err
 	})
 	after := ci.encl.Stats()
 	bd.InsideExec += (after.ExecTime - before.ExecTime).Seconds()
 	bd.InsideOverhead += (after.OverheadTime - before.OverheadTime).Seconds()
-	ci.met.ecallsBlock.Inc()
-	ci.met.enclaveBlockSec.Observe((after.InsideTime() - before.InsideTime()).Seconds())
-	if err != nil {
-		return nil, fmt.Errorf("core: ecall_sig_gen: %w", err)
-	}
-	return sig, nil
+	count.Inc()
+	inside.Observe((after.InsideTime() - before.InsideTime()).Seconds())
+	return sig, err
 }
 
-// adopt appends a certified block to the store and publishes its certificate
-// as one atomic transition, so concurrent readers (Checkpoint, LatestBundle,
-// certifiedTip) can never observe a new tip paired with a stale certificate.
-// The caller has already committed the block's state writes.
-func (ci *Issuer) adopt(blk *chain.Block, cert *Certificate) error {
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	if _, err := ci.node.Store().Add(blk); err != nil {
-		return fmt.Errorf("core: advance chain: %w", err)
+// ProcessBlock runs Alg. 1 (gen_cert) for a block extending the CI's tip: it
+// certifies the block as a one-block segment, whose certificate is exactly
+// the single-block certificate (SegmentDigest of one header is BlockDigest).
+// The returned breakdown feeds Figs. 8-9.
+func (ci *Issuer) ProcessBlock(blk *chain.Block) (*Certificate, CostBreakdown, error) {
+	seg, bd, err := ci.ProcessSegment([]*chain.Block{blk})
+	if err != nil {
+		return nil, bd, err
 	}
-	ci.certs[blk.Hash()] = cert
-	ci.lastCert = cert
-	ci.lastCertAt = time.Now()
-	ci.met.blocksCertified.Inc()
-	// A single-block certificate IS a one-block segment (SegmentDigest of one
-	// header == BlockDigest), so the segment serving history stays uniform
-	// across both certification paths.
-	ci.recordSegmentLocked([]*chain.Header{&blk.Header}, cert)
-	return nil
+	return seg.Cert, bd, nil
 }

@@ -66,7 +66,7 @@ func (ci *Issuer) ProcessBlockAugmented(blk *chain.Block, jobs []*IndexJob) ([]*
 	if len(jobs) == 0 {
 		return nil, bd, fmt.Errorf("core: augmented certification needs at least one index")
 	}
-	prev, _ := ci.certifiedTip()
+	prev, _, _ := ci.certifiedTip()
 
 	proof, res, err := ci.prepare(blk, &bd)
 	if err != nil {
@@ -83,19 +83,10 @@ func (ci *Issuer) ProcessBlockAugmented(blk *chain.Block, jobs []*IndexJob) ([]*
 			NewRoot:  job.NewRoot,
 			Witness:  job.Witness,
 		}
-		var sig []byte
-		inputSize := ecallInputSize(prev, blk, prevCert, proof) + len(job.Witness)
-		before := ci.encl.Stats()
-		err := ci.encl.Ecall(inputSize, func(ctx *enclave.Context) error {
-			var err error
-			sig, err = ci.prog.EcallAugmented(ctx, prev, blk, proof, in)
-			return err
+		size := ecallInputSize(prev, nil, prevCert, []*chain.Block{blk}, []*statedb.UpdateProof{proof}) + len(job.Witness)
+		sig, err := ci.ecall(ci.met.ecallsIndex, ci.met.enclaveIndexSec, size, &bd, func(ctx *enclave.Context) ([]byte, error) {
+			return ci.prog.EcallAugmented(ctx, prev, blk, proof, in)
 		})
-		after := ci.encl.Stats()
-		bd.InsideExec += (after.ExecTime - before.ExecTime).Seconds()
-		bd.InsideOverhead += (after.OverheadTime - before.OverheadTime).Seconds()
-		ci.met.ecallsIndex.Inc()
-		ci.met.enclaveIndexSec.Observe((after.InsideTime() - before.InsideTime()).Seconds())
 		if err != nil {
 			return nil, bd, fmt.Errorf("core: augmented ecall (%s): %w", job.Updater, err)
 		}
@@ -112,14 +103,14 @@ func (ci *Issuer) ProcessBlockAugmented(blk *chain.Block, jobs []*IndexJob) ([]*
 }
 
 // ProcessBlockHierarchical runs the hierarchical scheme (Alg. 5): first the
-// plain block certificate (Alg. 1, one Ecall with full verification), then
-// one cheap Ecall per index that verifies the fresh block certificate
-// instead of re-executing the block.
+// plain block certificate (Alg. 1, the one-block certification Ecall with
+// full verification), then one cheap Ecall per index that verifies the fresh
+// block certificate instead of re-executing the block.
 //
 // It returns the block certificate and the index certificates in job order.
 func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (*Certificate, []*Certificate, CostBreakdown, error) {
 	var bd CostBreakdown
-	prev, prevBlockCert := ci.certifiedTip()
+	prev, prevBlockCert, prevHeaders := ci.certifiedTip()
 
 	proof, res, err := ci.prepare(blk, &bd)
 	if err != nil {
@@ -127,7 +118,8 @@ func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (
 	}
 
 	// Line 1: gen_cert — the block certificate.
-	blkSig, err := ci.ecallSigGen(prev, prevBlockCert, blk, proof, &bd)
+	blks := []*chain.Block{blk}
+	blkSig, err := ci.ecallSegmentSigGen(prev, prevHeaders, prevBlockCert, blks, []*statedb.UpdateProof{proof}, &bd)
 	if err != nil {
 		return nil, nil, bd, err
 	}
@@ -146,7 +138,7 @@ func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (
 	if _, err := ci.node.State().Commit(res.WriteSet); err != nil {
 		return nil, nil, bd, fmt.Errorf("core: advance state: %w", err)
 	}
-	if err := ci.adopt(blk, blkCert); err != nil {
+	if _, err := ci.adoptSegment(blks, segmentHeaders(blks), blkCert); err != nil {
 		return nil, nil, bd, err
 	}
 	for i, job := range jobs {
@@ -169,23 +161,14 @@ func (ci *Issuer) ecallHierarchicalIndex(prev, blk *chain.Block, blkCert *Certif
 		NewRoot:  job.NewRoot,
 		Witness:  job.Witness,
 	}
-	inputSize := len(prev.Header.Marshal()) + len(blk.Header.Marshal()) +
+	size := len(prev.Header.Marshal()) + len(blk.Header.Marshal()) +
 		blkCert.EncodedSize() + len(job.Witness)
 	if prevCert != nil {
-		inputSize += prevCert.EncodedSize()
+		size += prevCert.EncodedSize()
 	}
-	var sig []byte
-	before := ci.encl.Stats()
-	err := ci.encl.Ecall(inputSize, func(ctx *enclave.Context) error {
-		var err error
-		sig, err = ci.prog.EcallHierarchicalIndex(ctx, prev, blk, blkCert, in)
-		return err
+	sig, err := ci.ecall(ci.met.ecallsIndex, ci.met.enclaveIndexSec, size, bd, func(ctx *enclave.Context) ([]byte, error) {
+		return ci.prog.EcallHierarchicalIndex(ctx, prev, blk, blkCert, in)
 	})
-	after := ci.encl.Stats()
-	bd.InsideExec += (after.ExecTime - before.ExecTime).Seconds()
-	bd.InsideOverhead += (after.OverheadTime - before.OverheadTime).Seconds()
-	ci.met.ecallsIndex.Inc()
-	ci.met.enclaveIndexSec.Observe((after.InsideTime() - before.InsideTime()).Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("core: hierarchical ecall (%s): %w", job.Updater, err)
 	}
@@ -193,7 +176,8 @@ func (ci *Issuer) ecallHierarchicalIndex(prev, blk *chain.Block, blkCert *Certif
 }
 
 // advance commits the block's writes and appends it to the CI's store (the
-// store append under ci.mu, so tip readers stay consistent with adopt).
+// store append under ci.mu, so tip readers stay consistent with
+// adoptSegment).
 func (ci *Issuer) advance(blk *chain.Block, res *statedb.ExecResult) error {
 	if _, err := ci.node.State().Commit(res.WriteSet); err != nil {
 		return fmt.Errorf("core: advance state: %w", err)

@@ -27,16 +27,19 @@ import (
 //	           against the speculative state, then a speculative state
 //	           commit (with an undo record) so block i+1 can execute
 //	           against block i's post-state before i is certified.
-//	commit   — one goroutine, block order; the recursive EcallSigGen (the
-//	           only stage the enclave serializes), then the atomic
-//	           store-append + certificate publication.
+//	commit   — one goroutine, block order; batches prepared blocks into
+//	           segments (one block each by default) and certifies each with
+//	           the recursive EcallSegmentSigGen (the only stage the enclave
+//	           serializes), then the atomic store-append + certificate
+//	           publication.
 //	index    — hierarchical index certification (Alg. 5) fanned out across
 //	           all registered indexes in parallel per block, reusing the
 //	           enclave write-set cache; ordered per index across blocks.
 //
 // The ordering invariant: exactly one block-certification Ecall is in
 // flight at any time, and blocks enter it in chain order — the recursive
-// certificate chain is identical to the sequential scheme's, byte for byte.
+// certificate chain is identical to the sequential scheme's (ProcessBlock,
+// or ProcessSegment over the same batches), byte for byte.
 // Everything ahead of the committer is speculation: if an Ecall fails, the
 // pipeline is aborted, or the host crashes mid-stream, every state commit
 // past the last certified block is rolled back from the undo log (newest
@@ -70,13 +73,13 @@ type PipelineConfig struct {
 	// track per-index recursion state. Nil disables index fan-out.
 	IndexJobs func(blk *chain.Block, writes map[string][]byte) ([]*IndexJob, error)
 
-	// Segment, when set with MaxBlocks > 1, replaces the per-block committer
-	// with the segment committer: up to MaxBlocks prepared blocks are
-	// certified by ONE EcallSegmentSigGen (closing early after MaxDelay so
-	// tip latency stays bounded under slow arrival). Mutually exclusive with
-	// IndexJobs — hierarchical index certification verifies per-block
-	// certificates, which multi-block segments do not produce. MaxBlocks ≤ 1
-	// keeps the per-block committer and its byte-identical certificates.
+	// Segment, when set with MaxBlocks > 1, batches the committer's
+	// segments: up to MaxBlocks prepared blocks are certified by ONE
+	// EcallSegmentSigGen (closing early after MaxDelay so tip latency stays
+	// bounded under slow arrival). Mutually exclusive with IndexJobs —
+	// hierarchical index certification verifies per-block certificates,
+	// which multi-block segments do not produce. Nil or MaxBlocks ≤ 1 closes
+	// every segment at one block: the single-block certificates.
 	Segment *SegmentPolicy
 
 	// proofHook, when set, substitutes the update proof handed from the
@@ -110,10 +113,9 @@ type PipelineResult struct {
 	Breakdown CostBreakdown
 	// Err reports why this block was not certified.
 	Err error
-	// Segment is the covering segment certificate when this block was
-	// certified through the segment committer (shared by every covered
-	// block; Cert is then the segment's certificate). Nil on the per-block
-	// path.
+	// Segment is the covering segment certificate (shared by every covered
+	// block; Cert is the segment's certificate). Without segment batching
+	// it is the block's own one-block segment. Nil on error.
 	Segment *SegmentCert
 }
 
@@ -203,10 +205,9 @@ type Pipeline struct {
 // until the pipeline has drained or aborted.
 func NewPipeline(ci *Issuer, cfg PipelineConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	segmented := cfg.Segment != nil && cfg.Segment.MaxBlocks > 1
 	// Validate before claiming the issuer: a rejected config must not leave
 	// the pipelining latch set.
-	if segmented {
+	if cfg.Segment != nil && cfg.Segment.MaxBlocks > 1 {
 		if cfg.IndexJobs != nil {
 			return nil, fmt.Errorf("%w: segment certification cannot be combined with index fan-out", ErrBadSegment)
 		}
@@ -245,11 +246,7 @@ func NewPipeline(ci *Issuer, cfg PipelineConfig) (*Pipeline, error) {
 	}
 	pl.wg.Add(2)
 	go pl.executor()
-	if segmented {
-		go pl.committerSegmented()
-	} else {
-		go pl.committer()
-	}
+	go pl.committerSegmented()
 	if cfg.IndexJobs != nil {
 		pl.wg.Add(1)
 		go pl.indexer()
@@ -405,7 +402,7 @@ func (pl *Pipeline) verifyStateless(blk *chain.Block) error {
 func (pl *Pipeline) executor() {
 	defer pl.wg.Done()
 	defer close(pl.commitCh)
-	specTip, _ := pl.ci.certifiedTip()
+	specTip, _, _ := pl.ci.certifiedTip()
 	for item := range pl.orderCh {
 		verr := <-item.verified
 		if pl.failed.Load() {
@@ -465,13 +462,9 @@ func (pl *Pipeline) executeSpeculative(specTip *chain.Block, item *pipeItem) err
 
 	// Capture the undo record before mutating anything, then commit the
 	// writes speculatively so the next block executes on this post-state.
-	rec := &undoRec{blockHash: blk.Hash(), entries: make([]undoEntry, 0, len(res.WriteSet))}
-	for k := range res.WriteSet {
-		prior, err := state.Get([]byte(k))
-		if err != nil {
-			return fmt.Errorf("core: undo capture %q: %w", k, err)
-		}
-		rec.entries = append(rec.entries, undoEntry{key: k, prior: prior, existed: prior != nil})
+	rec, err := captureUndo(state, blk.Hash(), res.WriteSet)
+	if err != nil {
+		return err
 	}
 	if _, err := state.Commit(res.WriteSet); err != nil {
 		return fmt.Errorf("core: speculative commit: %w", err)
@@ -485,90 +478,36 @@ func (pl *Pipeline) executeSpeculative(specTip *chain.Block, item *pipeItem) err
 	return nil
 }
 
-// committer drains prepared blocks through the one-at-a-time recursive
-// Ecall, then atomically adopts block + certificate.
-func (pl *Pipeline) committer() {
-	defer pl.wg.Done()
-	defer close(pl.indexCh)
-	prev, prevCert := pl.ci.certifiedTip()
-	// Items arrive in block order, so the abort gate is local: blocks
-	// before the first failed one must still certify even when a later
-	// block has already tripped the pipeline-wide failed flag (the
-	// executor runs ahead of the Ecall), and everything from the first
-	// failure onward aborts.
-	aborted := false
-	for item := range pl.commitCh {
-		pl.po.queueCommit.Add(-1)
-		if item.res.Err != nil {
-			aborted = true
-		} else if aborted {
-			item.res.Err = pl.abortErr()
-		} else {
-			sp := pl.ci.met.tracer.Start("pipeline.commit", item.span.ID())
-			start := time.Now()
-			err := pl.commitOne(prev, prevCert, item)
-			pl.po.observeStage(stageCommit, start)
-			sp.End()
-			if err != nil {
-				item.res.Err = err
-				pl.fail(err)
-				aborted = true
-			} else {
-				prev, prevCert = item.blk, item.res.Cert
-				pl.po.blocks.Inc()
-				pl.mu.Lock()
-				pl.stats.Blocks++
-				pl.mu.Unlock()
-			}
-		}
-		if pl.cfg.IndexJobs != nil {
-			pl.po.queueIndex.Add(1)
-			pl.indexCh <- item
-		} else {
-			item.span.End()
-			pl.out <- item.res
-		}
-	}
-}
-
-func (pl *Pipeline) commitOne(prev *chain.Block, prevCert *Certificate, item *pipeItem) error {
-	sig, err := pl.ci.ecallSigGen(prev, prevCert, item.blk, item.proof, &item.res.Breakdown)
-	if err != nil {
-		return err
-	}
-	cert := pl.ci.newCert(BlockDigest(&item.blk.Header), sig)
-	if err := pl.ci.adopt(item.blk, cert); err != nil {
-		return err
-	}
-	// The block is certified: its speculative commit is now durable, so its
-	// undo record (always the oldest) retires.
-	pl.mu.Lock()
-	if len(pl.undo) > 0 && pl.undo[0].blockHash == item.blk.Hash() {
-		pl.undo = pl.undo[1:]
-	}
-	pl.mu.Unlock()
-	item.res.Cert = cert
-	return nil
-}
-
-// committerSegmented is the amortizing commit stage: it accumulates prepared
-// blocks and certifies each batch with ONE segment Ecall. A batch closes at
-// MaxBlocks, at MaxDelay after its first block arrived (the tip-latency
-// bound), at stream end, or at an error boundary — blocks prepared before a
-// failure still certify, exactly like the per-block committer's local abort
-// gate. A batch pending when the pipeline has already failed is speculation
-// and dies with it: those blocks abort uncertified, their state commits roll
-// back, and a restarted issuer re-certifies them as the uncertified suffix.
+// committerSegmented is the commit stage: it accumulates prepared blocks and
+// certifies each batch with ONE segment Ecall. A batch closes at MaxBlocks
+// (one block without a segment policy), at MaxDelay after its first block
+// arrived (the tip-latency bound), at stream end, or at an error boundary.
+// Items arrive in block order, so the abort gate is local: blocks prepared
+// before a failure still certify even when a later block has already
+// tripped the pipeline-wide failed flag (the executor runs ahead of the
+// Ecall), and everything from the first failure onward aborts. A batch
+// pending when the pipeline has already failed is speculation and dies with
+// it: those blocks abort uncertified, their state commits roll back, and a
+// restarted issuer re-certifies them as the uncertified suffix. Every item,
+// certified or not, then moves on in order: to the index stage when index
+// fan-out is on, else out.
 func (pl *Pipeline) committerSegmented() {
 	defer pl.wg.Done()
 	defer close(pl.indexCh)
-	pol := *pl.cfg.Segment
-	prev, prevCert := pl.ci.certifiedTip()
-	prevHeaders := pl.ci.lastSegmentHeaders()
+	pol := SegmentPolicy{MaxBlocks: 1}
+	if pl.cfg.Segment != nil && pl.cfg.Segment.MaxBlocks > 1 {
+		pol = *pl.cfg.Segment
+	}
+	prev, prevCert, prevHeaders := pl.ci.certifiedTip()
 	var batch []*pipeItem
 	aborted := false
 
 	emit := func(item *pipeItem) {
+		if pl.cfg.IndexJobs != nil {
+			pl.po.queueIndex.Add(1)
+			pl.indexCh <- item
+			return
+		}
 		item.span.End()
 		pl.out <- item.res
 	}
@@ -576,6 +515,8 @@ func (pl *Pipeline) committerSegmented() {
 		if len(batch) == 0 || aborted {
 			return
 		}
+		tip := batch[len(batch)-1]
+		sp := pl.ci.met.tracer.Start("pipeline.commit", tip.span.ID())
 		start := time.Now()
 		blks := make([]*chain.Block, len(batch))
 		proofs := make([]*statedb.UpdateProof, len(batch))
@@ -583,7 +524,6 @@ func (pl *Pipeline) committerSegmented() {
 			blks[i] = it.blk
 			proofs[i] = it.proof
 		}
-		tip := batch[len(batch)-1]
 		sig, err := pl.ci.ecallSegmentSigGen(prev, prevHeaders, prevCert, blks, proofs, &tip.res.Breakdown)
 		if err == nil {
 			headers := segmentHeaders(blks)
@@ -619,6 +559,7 @@ func (pl *Pipeline) committerSegmented() {
 			}
 		}
 		pl.po.observeStage(stageCommit, start)
+		sp.End()
 		for _, it := range batch {
 			emit(it)
 		}
@@ -787,20 +728,7 @@ func (pl *Pipeline) rollback() {
 		pl.ci.met.logger.Warn("rolling back speculative commits",
 			obs.F("blocks", len(pending)))
 	}
-	state := pl.ci.node.State()
-	for i := len(pending) - 1; i >= 0; i-- {
-		for _, e := range pending[i].entries {
-			if e.existed {
-				if err := state.Set([]byte(e.key), e.prior); err != nil {
-					panic(fmt.Sprintf("core: pipeline rollback %q: %v", e.key, err))
-				}
-			} else {
-				if err := state.Delete([]byte(e.key)); err != nil {
-					panic(fmt.Sprintf("core: pipeline rollback delete %q: %v", e.key, err))
-				}
-			}
-		}
-	}
+	applyUndo(pl.ci.node.State(), pending)
 }
 
 func (pl *Pipeline) abortErr() error {

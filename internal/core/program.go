@@ -166,7 +166,7 @@ func (p *TrustedProgram) blkVerifyT(prev, blk *chain.Block, proof *statedb.Updat
 		}
 		newRoot, writes, err = statedb.ReplayBlockWithWritesPreverified(prev.Header.StateRoot, proof, p.reg, blk.Txs)
 	} else {
-		newRoot, writes, err = replayWithWrites(prev.Header.StateRoot, proof, p.reg, blk.Txs)
+		newRoot, writes, err = statedb.ReplayBlockWithWrites(prev.Header.StateRoot, proof, p.reg, blk.Txs)
 	}
 	if err != nil {
 		return nil, err
@@ -177,41 +177,12 @@ func (p *TrustedProgram) blkVerifyT(prev, blk *chain.Block, proof *statedb.Updat
 	return writes, nil
 }
 
-// replayWithWrites mirrors statedb.ReplayBlock but also surfaces the write
-// set for index certification.
-func replayWithWrites(prevRoot chash.Hash, proof *statedb.UpdateProof, reg *vm.Registry, txs []*chain.Transaction) (chash.Hash, map[string][]byte, error) {
-	root, writes, err := statedb.ReplayBlockWithWrites(prevRoot, proof, reg, txs)
-	if err != nil {
-		return chash.Zero, nil, err
-	}
-	return root, writes, nil
-}
-
-// verifyPrev dispatches the genesis/recursive check of Alg. 2 lines 3-6
-// for a digest function (block or index digest).
-func (p *TrustedProgram) verifyPrev(ctx *enclave.Context, prev *chain.Block, prevDigest chash.Hash, prevCert *Certificate) error {
-	if prev.Header.Height == 0 {
-		if prev.Hash() != p.genesis {
-			return fmt.Errorf("%w: %s", ErrGenesisMismatch, prev.Hash())
-		}
-		return nil
-	}
-	return p.certVerifyT(ctx, prevDigest, prevCert)
-}
-
 // EcallSigGen is ecall_sig_gen (Alg. 2 lines 1-9), run inside the enclave:
 // verify the previous certificate (or genesis), verify the new block, cache
-// its write set, and sign H(hdr_i).
+// its write set, and sign H(hdr_i). It is the one-block segment over a
+// one-block predecessor.
 func (p *TrustedProgram) EcallSigGen(ctx *enclave.Context, prev *chain.Block, prevCert *Certificate, blk *chain.Block, proof *statedb.UpdateProof) ([]byte, error) {
-	if err := p.verifyPrev(ctx, prev, BlockDigest(&prev.Header), prevCert); err != nil {
-		return nil, err
-	}
-	writes, err := p.blkVerifyT(prev, blk, proof)
-	if err != nil {
-		return nil, err
-	}
-	p.cacheWrites(blk.Hash(), writes)
-	return ctx.Sign(BlockDigest(&blk.Header))
+	return p.EcallSegmentSigGen(ctx, prev, []*chain.Header{&prev.Header}, prevCert, []*chain.Block{blk}, []*statedb.UpdateProof{proof})
 }
 
 // EcallSegmentSigGen is the segment analogue of ecall_sig_gen: ONE enclave
@@ -226,9 +197,8 @@ func (p *TrustedProgram) EcallSigGen(ctx *enclave.Context, prev *chain.Block, pr
 //
 // prevHeaders are the headers covered by prevCert (so their SegmentDigest is
 // prevCert's signed digest); their last element must be prev's header. For a
-// single-block segment over a single-block predecessor this is exactly
-// EcallSigGen: both digests collapse to BlockDigest, so the resulting
-// signature — and the certificate built from it — is byte-identical.
+// single-block segment over a single-block predecessor both digests collapse
+// to BlockDigest: this is EcallSigGen, byte for byte.
 func (p *TrustedProgram) EcallSegmentSigGen(ctx *enclave.Context, prev *chain.Block, prevHeaders []*chain.Header, prevCert *Certificate, blks []*chain.Block, proofs []*statedb.UpdateProof) ([]byte, error) {
 	if len(blks) == 0 {
 		return nil, fmt.Errorf("%w: empty segment", ErrBadSegment)
@@ -281,6 +251,22 @@ type IndexInput struct {
 	Witness []byte
 }
 
+// verifyIndexBase checks an index recursion base: the genesis block with
+// the empty index root, or the previous index certificate over
+// H(hdr_{i-1} ‖ H_{i-1}^idx).
+func (p *TrustedProgram) verifyIndexBase(ctx *enclave.Context, prev *chain.Block, in *IndexInput) error {
+	if prev.Header.Height != 0 {
+		return p.certVerifyT(ctx, IndexDigest(&prev.Header, in.PrevRoot), in.PrevCert)
+	}
+	if prev.Hash() != p.genesis {
+		return fmt.Errorf("%w: %s", ErrGenesisMismatch, prev.Hash())
+	}
+	if in.PrevRoot != GenesisIndexRoot {
+		return fmt.Errorf("%w: genesis index root must be empty", ErrIndexRootMismatch)
+	}
+	return nil
+}
+
 // replayIndex runs lines 8-10 of Alg. 4: derive the index write data from
 // the (verified) block, check the witness, and recompute the index root.
 func (p *TrustedProgram) replayIndex(in *IndexInput, blk *chain.Block, writes map[string][]byte) error {
@@ -303,17 +289,8 @@ func (p *TrustedProgram) replayIndex(in *IndexInput, blk *chain.Block, writes ma
 // H(hdr_i ‖ H_i^idx).
 func (p *TrustedProgram) EcallAugmented(ctx *enclave.Context, prev *chain.Block, blk *chain.Block, proof *statedb.UpdateProof, in *IndexInput) ([]byte, error) {
 	// Lines 3-6: previous augmented certificate (or genesis index root).
-	if prev.Header.Height == 0 {
-		if prev.Hash() != p.genesis {
-			return nil, fmt.Errorf("%w: %s", ErrGenesisMismatch, prev.Hash())
-		}
-		if in.PrevRoot != GenesisIndexRoot {
-			return nil, fmt.Errorf("%w: genesis index root must be empty", ErrIndexRootMismatch)
-		}
-	} else {
-		if err := p.certVerifyT(ctx, IndexDigest(&prev.Header, in.PrevRoot), in.PrevCert); err != nil {
-			return nil, err
-		}
+	if err := p.verifyIndexBase(ctx, prev, in); err != nil {
+		return nil, err
 	}
 	// Line 7: full block verification (re-executed per index — the cost the
 	// hierarchical scheme removes).
@@ -335,17 +312,8 @@ func (p *TrustedProgram) EcallAugmented(ctx *enclave.Context, prev *chain.Block,
 // replays the index update, and signs H(hdr_i ‖ H_i^idx).
 func (p *TrustedProgram) EcallHierarchicalIndex(ctx *enclave.Context, prev *chain.Block, blk *chain.Block, blkCert *Certificate, in *IndexInput) ([]byte, error) {
 	// Lines 5-9: previous index certificate (or genesis index root).
-	if prev.Header.Height == 0 {
-		if prev.Hash() != p.genesis {
-			return nil, fmt.Errorf("%w: %s", ErrGenesisMismatch, prev.Hash())
-		}
-		if in.PrevRoot != GenesisIndexRoot {
-			return nil, fmt.Errorf("%w: genesis index root must be empty", ErrIndexRootMismatch)
-		}
-	} else {
-		if err := p.certVerifyT(ctx, IndexDigest(&prev.Header, in.PrevRoot), in.PrevCert); err != nil {
-			return nil, err
-		}
+	if err := p.verifyIndexBase(ctx, prev, in); err != nil {
+		return nil, err
 	}
 	// Line 10: verify blk via its block certificate instead of re-execution.
 	if err := p.certVerifyT(ctx, BlockDigest(&blk.Header), blkCert); err != nil {

@@ -207,20 +207,12 @@ func InterlinkHeights(start uint64) []uint64 {
 // comes first — steady-state throughput rides the amortization curve while
 // tip latency under slow arrival stays bounded by the deadline.
 type SegmentPolicy struct {
-	// MaxBlocks is K, the largest segment (values below 2 keep the
-	// single-block committer and its byte-identical certificates).
+	// MaxBlocks is K, the largest segment (values below 2 close every
+	// segment at one block, whose certificate is the single-block one).
 	MaxBlocks int
 	// MaxDelay bounds how long a partial segment may wait for more blocks
 	// before certifying what it has (0 = wait for MaxBlocks or stream end).
 	MaxDelay time.Duration
-}
-
-// lastSegmentHeaders snapshots the headers of the issuer's newest certified
-// segment (nil before the first certificate).
-func (ci *Issuer) lastSegmentHeaders() []*chain.Header {
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	return ci.lastSegHeaders
 }
 
 // buildInterlink resolves the interlink schedule for a segment starting at
@@ -278,8 +270,7 @@ func (ci *Issuer) LatestSegment() *SegmentCert {
 }
 
 // captureUndo records the prior value of every key a block is about to
-// write, so a failed segment Ecall can restore the replica to its certified
-// state.
+// write, so a failed Ecall can restore the replica to its certified state.
 func captureUndo(state *statedb.DB, blockHash chash.Hash, writes map[string][]byte) (*undoRec, error) {
 	rec := &undoRec{blockHash: blockHash, entries: make([]undoEntry, 0, len(writes))}
 	for k := range writes {
@@ -298,11 +289,11 @@ func applyUndo(state *statedb.DB, recs []*undoRec) {
 		for _, e := range recs[i].entries {
 			if e.existed {
 				if err := state.Set([]byte(e.key), e.prior); err != nil {
-					panic(fmt.Sprintf("core: segment rollback %q: %v", e.key, err))
+					panic(fmt.Sprintf("core: rollback %q: %v", e.key, err))
 				}
 			} else {
 				if err := state.Delete([]byte(e.key)); err != nil {
-					panic(fmt.Sprintf("core: segment rollback delete %q: %v", e.key, err))
+					panic(fmt.Sprintf("core: rollback delete %q: %v", e.key, err))
 				}
 			}
 		}
@@ -321,8 +312,7 @@ func (ci *Issuer) ProcessSegment(blks []*chain.Block) (*SegmentCert, CostBreakdo
 		return nil, bd, fmt.Errorf("%w: empty segment", ErrBadSegment)
 	}
 	certifyStart := time.Now()
-	prev, prevCert := ci.certifiedTip()
-	prevHeaders := ci.lastSegmentHeaders()
+	prev, prevCert, prevHeaders := ci.certifiedTip()
 
 	state := ci.node.State()
 	proofs := make([]*statedb.UpdateProof, len(blks))
@@ -372,32 +362,13 @@ func segmentHeaders(blks []*chain.Block) []*chain.Header {
 	return headers
 }
 
-// ecallSegmentSigGen runs the single segment-certification Ecall. The input
-// sizing covers everything marshalled through the boundary: every block and
-// its proof, the previous segment's headers, and the previous certificate.
+// ecallSegmentSigGen runs the block-certification Ecall over a run of one
+// or more blocks.
 func (ci *Issuer) ecallSegmentSigGen(prev *chain.Block, prevHeaders []*chain.Header, prevCert *Certificate, blks []*chain.Block, proofs []*statedb.UpdateProof, bd *CostBreakdown) ([]byte, error) {
-	size := len(prev.Header.Marshal())
-	for i := range blks {
-		size += len(blks[i].Marshal()) + proofs[i].EncodedSize()
-	}
-	for _, h := range prevHeaders {
-		size += h.EncodedSize()
-	}
-	if prevCert != nil {
-		size += prevCert.EncodedSize()
-	}
-	var sig []byte
-	before := ci.encl.Stats()
-	err := ci.encl.Ecall(size, func(ctx *enclave.Context) error {
-		var err error
-		sig, err = ci.prog.EcallSegmentSigGen(ctx, prev, prevHeaders, prevCert, blks, proofs)
-		return err
+	size := ecallInputSize(prev, prevHeaders, prevCert, blks, proofs)
+	sig, err := ci.ecall(ci.met.ecallsBlock, ci.met.enclaveBlockSec, size, bd, func(ctx *enclave.Context) ([]byte, error) {
+		return ci.prog.EcallSegmentSigGen(ctx, prev, prevHeaders, prevCert, blks, proofs)
 	})
-	after := ci.encl.Stats()
-	bd.InsideExec += (after.ExecTime - before.ExecTime).Seconds()
-	bd.InsideOverhead += (after.OverheadTime - before.OverheadTime).Seconds()
-	ci.met.ecallsBlock.Inc()
-	ci.met.enclaveBlockSec.Observe((after.InsideTime() - before.InsideTime()).Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("core: ecall_segment_sig_gen: %w", err)
 	}
@@ -405,9 +376,10 @@ func (ci *Issuer) ecallSegmentSigGen(prev *chain.Block, prevHeaders []*chain.Hea
 }
 
 // adoptSegment appends all covered blocks and publishes the segment
-// certificate as one atomic transition (the segment-wide analogue of adopt):
-// concurrent readers see either the old tip with the old certificate or the
-// new tip with the new one — never a partially adopted segment.
+// certificate as one atomic transition: concurrent readers (Checkpoint,
+// LatestBundle, certifiedTip) see either the old tip with the old certificate
+// or the new tip with the new one — never a partially adopted segment. The
+// caller has already committed the blocks' state writes.
 func (ci *Issuer) adoptSegment(blks []*chain.Block, headers []*chain.Header, cert *Certificate) (*SegmentCert, error) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()

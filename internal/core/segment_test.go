@@ -126,14 +126,43 @@ func TestSegmentK1ByteIdentity(t *testing.T) {
 	}
 }
 
+// TestK1EcallInputBytes pins the bytes one K=1 certification marshals into
+// the enclave: the previous header, the block, its update proof and the
+// previous certificate, each counted once.
+func TestK1EcallInputBytes(t *testing.T) {
+	r := newSegRig(t, "segment-k1-bytes-v1")
+	blks := r.mineEmpty(t, 2)
+	if _, _, err := r.ci.ProcessBlock(blks[0]); err != nil {
+		t.Fatalf("ProcessBlock(1): %v", err)
+	}
+	before := r.ci.Enclave().Stats().BytesIn
+	if _, _, err := r.ci.ProcessBlock(blks[1]); err != nil {
+		t.Fatalf("ProcessBlock(2): %v", err)
+	}
+	if got, want := r.ci.Enclave().Stats().BytesIn-before, uint64(3176); got != want {
+		t.Fatalf("K=1 Ecall input %d bytes, want %d", got, want)
+	}
+}
+
 // Golden digests captured from the deterministic seeded rig (print with
 // DCERT_PRINT_GOLDEN=1). They pin, across refactors:
 //   - seg_k1_cert:   the single-block certificate bytes (K=1 compatibility),
 //   - seg_k4_wire:   the full K=4 SegmentCert wire encoding, interlink
-//     included — deployed clients parse exactly these bytes.
+//     included — deployed clients parse exactly these bytes,
+//   - seg_k1_after_k4_block / _pipe: a one-block certificate whose recursion
+//     base is a K=4 segment certificate, issued by ProcessBlock and by a
+//     one-block-batch pipeline (the enclave must verify the base over the
+//     segment digest, not the tip's block digest),
+//   - hier_block_cert / hier_index_cert: the second block of a hierarchical
+//     run (Alg. 5) and its index certificate.
 var goldenSegmentDigests = map[string]string{
 	"seg_k1_cert": "1627b0536e858b67436e7032ffaa9bfb14fc0b3ee718bd505cf6d4f635416b8c",
 	"seg_k4_wire": "33fbd65f2a33bcfda7890522fc9e54bb7e708cb8ae95d365d945d986acc2d933",
+
+	"seg_k1_after_k4_block": "d63193a5ffa528de0bf7d703a6537d2467054f6baa12d2a63bb07150ab275591",
+	"seg_k1_after_k4_pipe":  "d63193a5ffa528de0bf7d703a6537d2467054f6baa12d2a63bb07150ab275591",
+	"hier_block_cert":       "7f3a1919b1e89724449817c6b7a603fa924d4cdcb8946520988691be0cfb7569",
+	"hier_index_cert":       "86ea9eb2531e1fd2bf2a54e316402399117268e9bb60e91464ce7b66d9429b08",
 }
 
 func segmentGoldenVectors(t *testing.T) map[string]string {
@@ -161,13 +190,60 @@ func segmentGoldenVectors(t *testing.T) map[string]string {
 		t.Fatalf("ValidateSegment: %v", err)
 	}
 
+	// A one-block certificate on top of a K=4 segment, twice: sequentially
+	// and through a pipeline whose batches close at one block.
+	afterSeg := func(viaPipeline bool) *Certificate {
+		r := newSegRig(t, seed)
+		blks := r.mineEmpty(t, 5)
+		if _, _, err := r.ci.ProcessSegment(blks[:4]); err != nil {
+			t.Fatalf("ProcessSegment[1,4]: %v", err)
+		}
+		if !viaPipeline {
+			cert, _, err := r.ci.ProcessBlock(blks[4])
+			if err != nil {
+				t.Fatalf("ProcessBlock(5): %v", err)
+			}
+			return cert
+		}
+		results, err := r.ci.ProcessBlocksPipelined(blks[4:], PipelineConfig{})
+		if err != nil {
+			t.Fatalf("ProcessBlocksPipelined(5): %v", err)
+		}
+		return results[0].Cert
+	}
+	k1Block, k1Pipe := afterSeg(false), afterSeg(true)
+
+	// Two hierarchical blocks with one mock index: the second block's
+	// certificates recurse on the first's.
+	hier := newSegRig(t, seed)
+	if err := hier.ci.Program().RegisterUpdater(mockIndex{name: "golden"}); err != nil {
+		t.Fatalf("RegisterUpdater: %v", err)
+	}
+	jobs := mockIndexJobs([]string{"golden"})
+	var hierBlk *Certificate
+	var hierIdx []*Certificate
+	for _, blk := range hier.mineEmpty(t, 2) {
+		js, err := jobs(blk, map[string][]byte{})
+		if err != nil {
+			t.Fatalf("jobs: %v", err)
+		}
+		hierBlk, hierIdx, _, err = hier.ci.ProcessBlockHierarchical(blk, js)
+		if err != nil {
+			t.Fatalf("ProcessBlockHierarchical: %v", err)
+		}
+	}
+
 	digest := func(raw []byte) string {
 		sum := chash.Sum(chash.DomainNode, raw)
 		return hex.EncodeToString(sum.Bytes())
 	}
 	return map[string]string{
-		"seg_k1_cert": digest(cert.Marshal()),
-		"seg_k4_wire": digest(seg.Marshal()),
+		"seg_k1_cert":           digest(cert.Marshal()),
+		"seg_k4_wire":           digest(seg.Marshal()),
+		"seg_k1_after_k4_block": digest(k1Block.Marshal()),
+		"seg_k1_after_k4_pipe":  digest(k1Pipe.Marshal()),
+		"hier_block_cert":       digest(hierBlk.Marshal()),
+		"hier_index_cert":       digest(hierIdx[0].Marshal()),
 	}
 }
 

@@ -38,8 +38,9 @@ type cacheEntry struct {
 
 // flight is one in-progress computation that identical callers wait on.
 type flight struct {
-	done chan struct{}
-	resp []byte
+	done    chan struct{}
+	resp    []byte
+	waiters int // callers joined to this flight (guarded by the cache mu)
 }
 
 // CacheOutcome describes how Do satisfied a request.
@@ -87,6 +88,7 @@ func (c *ResponseCache) Do(key string, compute func() []byte) ([]byte, CacheOutc
 		return resp, CacheHit
 	}
 	if f, ok := c.inflight[key]; ok {
+		f.waiters++
 		c.mu.Unlock()
 		<-f.done
 		c.mu.Lock()
@@ -114,6 +116,17 @@ func (c *ResponseCache) Do(key string, compute func() []byte) ([]byte, CacheOutc
 	c.mu.Unlock()
 	close(f.done)
 	return f.resp, CacheComputed
+}
+
+// waiters reports how many callers are waiting on key's in-flight
+// computation (0 when none is in flight).
+func (c *ResponseCache) waiters(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if f, ok := c.inflight[key]; ok {
+		return f.waiters
+	}
+	return 0
 }
 
 // Reset empties the cache (cumulative stats survive). Serving planes whose

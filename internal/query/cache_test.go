@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dcert/internal/obs"
 	"dcert/internal/workload"
@@ -99,18 +100,23 @@ func TestResponseCacheSingleflightCollapses(t *testing.T) {
 	const m = 100
 	results := make([][]byte, m)
 	var wg sync.WaitGroup
-	var started sync.WaitGroup
 	wg.Add(m)
-	started.Add(m)
 	for i := 0; i < m; i++ {
 		go func(i int) {
 			defer wg.Done()
-			started.Done()
 			resp, _ := c.Do("q", compute)
 			results[i] = resp
 		}(i)
 	}
-	started.Wait() // all M goroutines launched before the flight resolves
+	// Resolve the flight only once every other caller has joined it inside
+	// Do; releasing earlier lets late callers arrive after the flight and
+	// count as cache hits instead.
+	for deadline := time.Now().Add(10 * time.Second); c.waiters("q") < m-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d callers joined the flight", c.waiters("q"), m-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(gate)
 	wg.Wait()
 

@@ -1,8 +1,7 @@
 package fleet
 
 import (
-	"runtime"
-	"sync/atomic"
+	"sync"
 
 	"dcert/internal/chain"
 	"dcert/internal/obs"
@@ -10,29 +9,19 @@ import (
 )
 
 // Replica is one serving shard: a full SP (own state replica and indexes)
-// behind an epoch guard and a byte-bounded singleflight response cache.
+// behind a read-write lock and a byte-bounded singleflight response cache.
 //
-// The epoch discipline makes reads lock-free against an immutable
-// per-height view: readers acquire the current epoch with an atomic
-// load + refcount (no mutex on the read path), and the writer advances
-// heights by first swapping in a new *unready* epoch — parking new readers
-// on its ready channel — then draining the old epoch's readers to zero,
-// mutating the SP, re-sealing it (pre-hashing every lazily-hashed
-// structure so reads stay pure), and finally opening the new epoch. At any
-// instant every active reader sees one fully-hashed height; a query never
-// observes a half-applied block.
+// Readers share the lock; the writer advances heights under the exclusive
+// lock, mutating the SP and re-sealing it (pre-hashing every lazily-hashed
+// structure so reads stay pure) before any reader sees it. A pending writer
+// parks new readers, so at any instant every active reader sees one
+// fully-hashed height; a query never observes a half-applied block.
 type Replica struct {
 	name  string
-	cur   atomic.Pointer[epoch]
+	mu    sync.RWMutex // guards sp's height
+	sp    *query.ServiceProvider
 	cache *query.ResponseCache
 	met   replicaObs
-}
-
-// epoch guards one sealed height of the replica's SP.
-type epoch struct {
-	sp      *query.ServiceProvider
-	readers atomic.Int64
-	ready   chan struct{} // closed once the height is sealed
 }
 
 // NewReplica wraps a freshly built SP as a serving shard. The SP must not
@@ -41,11 +30,7 @@ func NewReplica(name string, sp *query.ServiceProvider, cacheBytes int) (*Replic
 	if err := sp.Seal(); err != nil {
 		return nil, err
 	}
-	ep := &epoch{sp: sp, ready: make(chan struct{})}
-	close(ep.ready)
-	r := &Replica{name: name, cache: query.NewResponseCache(cacheBytes)}
-	r.cur.Store(ep)
-	return r, nil
+	return &Replica{name: name, sp: sp, cache: query.NewResponseCache(cacheBytes)}, nil
 }
 
 // Name returns the replica's router identity.
@@ -58,42 +43,19 @@ func (r *Replica) Cache() *query.ResponseCache {
 	return r.cache
 }
 
-// acquire pins the current epoch for reading, waiting out an in-progress
-// height advance. The increment-then-recheck loop closes the race with a
-// concurrent writer swap: if the epoch pointer moved between load and
-// increment, the refcount touched a retired epoch (harmless) and the reader
-// retries on the fresh one.
-func (r *Replica) acquire() *epoch {
-	for {
-		ep := r.cur.Load()
-		ep.readers.Add(1)
-		if r.cur.Load() == ep {
-			<-ep.ready
-			return ep
-		}
-		ep.readers.Add(-1)
-	}
-}
-
 // ProcessBlock advances the replica one height. Callers must serialize
 // ProcessBlock (one block pipeline per deployment); queries may run
-// concurrently throughout.
+// concurrently throughout and wait out the advance.
 func (r *Replica) ProcessBlock(blk *chain.Block) error {
-	old := r.cur.Load()
-	next := &epoch{sp: old.sp, ready: make(chan struct{})}
-	r.cur.Store(next)
-	// Drain readers still inside the old epoch before mutating under them.
-	for old.readers.Load() > 0 {
-		runtime.Gosched()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.sp.ProcessBlock(blk); err != nil {
+		return err // serve the last good height
 	}
-	err := old.sp.ProcessBlock(blk)
-	if err == nil {
-		err = old.sp.Seal()
-		// Cached responses prove against the pre-block roots; flush them so
-		// the new height never replays a stale proof.
-		r.cache.Reset()
-	}
-	close(next.ready) // even on error: serve the last good height
+	err := r.sp.Seal()
+	// Cached responses prove against the pre-block roots; flush them so the
+	// new height never replays a stale proof.
+	r.cache.Reset()
 	return err
 }
 
@@ -103,11 +65,11 @@ func (r *Replica) ProcessBlock(blk *chain.Block) error {
 func (r *Replica) Execute(req *query.Request) *query.Response {
 	r.met.served.Inc()
 	raw, _ := r.cache.Do(req.SemanticKey(), func() []byte {
-		ep := r.acquire()
-		defer ep.readers.Add(-1)
+		r.mu.RLock()
+		defer r.mu.RUnlock()
 		canon := *req
 		canon.ID = 0
-		return query.Execute(ep.sp, &canon).Marshal()
+		return query.Execute(r.sp, &canon).Marshal()
 	})
 	resp, err := query.UnmarshalResponse(raw)
 	if err != nil {
@@ -118,12 +80,11 @@ func (r *Replica) Execute(req *query.Request) *query.Response {
 	return resp
 }
 
-// Tip returns the replica's current chain tip header, pinned to a sealed
-// epoch.
+// Tip returns the replica's current sealed chain tip header.
 func (r *Replica) Tip() *chain.Header {
-	ep := r.acquire()
-	defer ep.readers.Add(-1)
-	hdr := ep.sp.Node().Tip().Header
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	hdr := r.sp.Node().Tip().Header
 	return &hdr
 }
 
